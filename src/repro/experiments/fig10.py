@@ -15,7 +15,7 @@ import numpy as np
 from ..core.pregenerated import netsmith_topology
 from ..sim import SweepResult, latency_throughput_curve, shuffle_pattern
 from ..topology import standard_layout
-from .registry import MCLB, Entry, roster, routed_entry, routed_table
+from .registry import MCLB, Entry, roster, routed_entries
 
 if TYPE_CHECKING:
     from ..runner import Runner
@@ -55,7 +55,7 @@ def fig10_curves(
     produces curves identical to the reference engine's."""
     layout = standard_layout(n_routers)
     rates = tuple(rates or DEFAULT_RATES)
-    cast = []
+    members = []
     for cls in link_classes:
         entries = roster(
             cls, n_routers, include_lpbt=False,
@@ -72,10 +72,9 @@ def fig10_curves(
             )
         except KeyError:
             pass
-        cast.extend(
-            (cls, entry, routed_entry(entry, seed=seed, runner=runner))
-            for entry in entries
-        )
+        members.extend((cls, entry) for entry in entries)
+    tables = routed_entries([e for _, e in members], seed=seed, runner=runner)
+    cast = [(cls, e, t) for (cls, e), t in zip(members, tables)]
 
     curves: Dict[str, SweepResult] = {}
     if runner is not None:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..sim import find_saturation, uniform_random
 from ..topology import standard_layout
 from ..topology.layout import CLASS_CLOCK_GHZ
-from .registry import roster, routed_entry
+from .registry import roster, routed_entries
 
 if TYPE_CHECKING:
     from ..runner import Runner
@@ -66,7 +66,7 @@ def fig11_points(
     default (or "fast" serially).  Every search's probes share one
     compiled network and are memoized by rate."""
     layout = standard_layout(n_routers)
-    cast = []
+    members = []
     for cls in link_classes:
         for entry in roster(
             cls, n_routers, include_lpbt=False, include_scop=False,
@@ -76,7 +76,9 @@ def fig11_points(
                 continue  # the paper could not scale Kite-Large to 8x6
             if entry.name not in SCALABLE:
                 continue
-            cast.append((cls, entry, routed_entry(entry, seed=seed, runner=runner)))
+            members.append((cls, entry))
+    tables = routed_entries([e for _, e in members], seed=seed, runner=runner)
+    cast = [(cls, e, t) for (cls, e), t in zip(members, tables)]
 
     if runner is not None:
         from ..runner import SaturationJob, TrafficSpec

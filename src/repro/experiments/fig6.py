@@ -15,7 +15,7 @@ import numpy as np
 
 from ..sim import SweepResult, latency_throughput_curve
 from ..topology import standard_layout
-from .registry import roster, routed_entry
+from .registry import roster, routed_entries
 
 if TYPE_CHECKING:
     from ..runner import Runner
@@ -77,13 +77,15 @@ def fig6_curves(
     else:
         raise ValueError(f"traffic_kind must be coherence/memory, got {traffic_kind!r}")
 
-    cast = [
-        (cls, entry, routed_entry(entry, seed=seed, runner=runner))
+    members = [
+        (cls, entry)
         for cls in link_classes
         for entry in roster(
             cls, n_routers, allow_generate=allow_generate, runner=runner,
         )
     ]
+    tables = routed_entries([e for _, e in members], seed=seed, runner=runner)
+    cast = [(cls, e, t) for (cls, e), t in zip(members, tables)]
     curves: Dict[str, SweepResult] = {}
     if runner is not None:
         from ..runner import CurveJob

@@ -15,7 +15,7 @@ from ..fullsys import Figure8Row, geomean_speedups, parsec_sweep
 from ..fullsys.workloads import PARSEC, WorkloadProfile
 from ..routing import RoutingTable
 from ..topology import expert_topology
-from .registry import NDBT, roster, routed_entry, routed_table
+from .registry import NDBT, Entry, roster, routed_entries
 
 if TYPE_CHECKING:
     from ..runner import Runner
@@ -63,10 +63,7 @@ def fig8_results(
     either way.  ``engine`` pins the closed-loop engine
     ("fast"/"reference"); ``None`` uses the runner's default (or the
     fast engine serially) — both engines produce identical results."""
-    mesh_table = routed_table(
-        expert_topology("Mesh", n_routers), NDBT, seed=seed, runner=runner
-    )
-    tables: Dict[str, RoutingTable] = {}
+    cast = [Entry(expert_topology("Mesh", n_routers), NDBT)]
     for cls in link_classes:
         entries = roster(
             cls, n_routers, include_lpbt=False,
@@ -79,8 +76,11 @@ def fig8_results(
                 for e in entries
                 if e.name.startswith(("NS-", "Kite", "FoldedTorus"))
             ][:max_entries_per_class]
-        for e in entries:
-            tables[e.name] = routed_entry(e, seed=seed, runner=runner)
+        cast.extend(entries)
+    mesh_table, *routed = routed_entries(cast, seed=seed, runner=runner)
+    tables: Dict[str, RoutingTable] = {
+        e.name: t for e, t in zip(cast[1:], routed)
+    }
     rows = parsec_sweep(
         tables,
         mesh_table,

@@ -174,16 +174,13 @@ def kite(layout: Layout, size: str) -> Topology:
             deg[b] += 1
         return deg
 
-    def total_dist(es):
-        t = Topology.from_undirected(layout, es)
-        d = t.hop_matrix()
-        if not np.isfinite(d).all():
-            return float("inf")
-        return float(d.sum())
+    def total_dist(d):
+        return float(d.sum()) if np.isfinite(d).all() else float("inf")
 
     while True:
         deg = degrees(edges)
-        base = total_dist(edges)
+        d = Topology.from_undirected(layout, edges).hop_matrix()
+        base = total_dist(d)
         best_gain, best_edge = 0.0, None
         candidates = sorted(
             (e for e in allowed if e not in edges),
@@ -192,7 +189,16 @@ def kite(layout: Layout, size: str) -> Topology:
         for a, b in candidates:
             if deg[a] >= RADIX or deg[b] >= RADIX:
                 continue
-            gain = base - total_dist(edges | {(a, b)})
+            # A shortest path crosses the new link a-b at most once, so
+            # the hop matrix with it follows from the one without.
+            with_ab = np.minimum(
+                d,
+                np.minimum(
+                    d[:, a, None] + 1 + d[None, b, :],
+                    d[:, b, None] + 1 + d[None, a, :],
+                ),
+            )
+            gain = base - total_dist(with_ab)
             # prefer longer links on ties: candidates are pre-sorted long-first
             if gain > best_gain + 1e-9:
                 best_gain, best_edge = gain, (a, b)

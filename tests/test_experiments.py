@@ -1,6 +1,7 @@
 """Tests for the experiment harness (fast paths only; the full sweeps run
 as benchmarks)."""
 
+import json
 import math
 
 import pytest
@@ -54,14 +55,19 @@ class TestRegistry:
             routed_table(ft, "xy-routing", use_cache=False)
 
 
+@pytest.fixture(scope="class")
+def medium_table2():
+    return table2(20, link_classes=("medium",), allow_generate=False)
+
+
 class TestTable2:
-    def test_rows_have_paper_references(self):
-        rows = table2(20, link_classes=("medium",), allow_generate=False)
+    def test_rows_have_paper_references(self, medium_table2):
+        rows = medium_table2
         refd = [r for r in rows if r.paper is not None]
         assert refd, "at least FoldedTorus must match a published row"
 
-    def test_folded_torus_exact_match(self):
-        rows = table2(20, link_classes=("medium",), allow_generate=False)
+    def test_folded_torus_exact_match(self, medium_table2):
+        rows = medium_table2
         ft = next(r for r in rows if r.measured.name == "FoldedTorus")
         links, diam, hops, bw = ft.paper
         assert ft.measured.num_links == links
@@ -69,11 +75,44 @@ class TestTable2:
         assert abs(ft.measured.avg_hops - hops) < 0.01
         assert ft.measured.bisection_bw == bw
 
-    def test_format_table_contains_header(self):
-        rows = table2(20, link_classes=("medium",), allow_generate=False)
+    def test_format_table_contains_header(self, medium_table2):
+        rows = medium_table2
         text = format_table(rows, 20)
         assert "Table II (20 routers)" in text
         assert "FoldedTorus" in text
+
+
+class TestRosterRouting:
+    def test_fig6_routes_roster_in_one_parallel_wave(self, tmp_path, monkeypatch):
+        """A 2-worker fig6 run routes its whole roster as one ``routing``
+        wave, and its tables and curves equal the serial run's."""
+        from repro.experiments import registry
+        from repro.experiments.fig6 import fig6_curves
+        from repro.runner import Runner, encode_table
+
+        budget = dict(rates=(0.02,), warmup=20, measure=40)
+        monkeypatch.setattr(registry, "_table_cache", {})
+        with Runner(parallel=2, cache_dir=str(tmp_path)) as runner:
+            parallel = fig6_curves(
+                "coherence", allow_generate=False, runner=runner, **budget
+            )
+        parallel_tables = dict(registry._table_cache)
+        with open(tmp_path / "journal.jsonl") as fh:
+            events = [json.loads(line) for line in fh]
+        waves = [
+            e for e in events if e["ev"] == "wave" and e["task"] == "routing"
+        ]
+        assert len(waves) == 1
+        assert len(waves[0]["keys"]) == len(parallel.curves) == 9
+
+        monkeypatch.setattr(registry, "_table_cache", {})
+        serial = fig6_curves("coherence", allow_generate=False, **budget)
+        serial_tables = registry._table_cache
+        assert parallel_tables.keys() == serial_tables.keys()
+        for key, table in serial_tables.items():
+            assert encode_table(parallel_tables[key]) == encode_table(table)
+            assert parallel_tables[key].topology.name == table.topology.name
+        assert parallel.curves == serial.curves
 
 
 class TestFig1:

@@ -1,5 +1,8 @@
 """Tests for expert baseline topologies and reconstruction machinery."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.topology import (
@@ -19,9 +22,32 @@ from repro.topology import (
     kite,
     mesh,
     reconstruct,
+    standard_layout,
 )
 from repro.topology import expert_data
 from repro.topology.expert import EXPERT_FAMILIES
+
+
+KITE_GOLDEN = {
+    (20, "small"):
+        "56d8e9114e189a7f71e6b68eeaacd04851f30ac772dfcdf55bc2cf509d541fbd",
+    (20, "medium"):
+        "267bdd05732d370ac6369e1574555ad436b71514322b1445e18fe177dd58dafe",
+    (20, "large"):
+        "b1cf865947374ba758e24609fd1911ff1b3523ed44d4d220fc2fb63b339cd90f",
+    (30, "small"):
+        "9650bb5bbfb5802b37c22201251ac90234e88f1c1fb809beefd236aa8533dbaf",
+    (30, "medium"):
+        "22ca6edda3f686c060eb10df22fea4939f51596017c9fb9e11fdaf06e7b92b6d",
+    (30, "large"):
+        "b13b636bf4e24d4e26ea82ceb3ccd24486c8ec23ad6c748efa220ae15b2d69d1",
+    (48, "small"):
+        "203d8d2ec938c6ea437ea3edf07bb9e5bc75659263950011d3aa3ed8f5d1fd85",
+    (48, "medium"):
+        "5ad2341bd32ca8e5a7b79e787ae68ff8d2f6f2cf661075ccb9a0bab28d15afff",
+    (48, "large"):
+        "8b9a2e772825bf8193948812eae8c03229b718ba97119aa17d2b32e55cdb0527",
+}
 
 
 class TestMesh:
@@ -69,6 +95,16 @@ class TestPatternGenerators:
     def test_kite_rejects_bad_size(self):
         with pytest.raises(ValueError):
             kite(LAYOUT_4X5, "gigantic")
+
+    @pytest.mark.parametrize("n,size", sorted(KITE_GOLDEN))
+    def test_kite_links_match_golden(self, n, size):
+        """The greedy's link sets, recorded when every candidate's hop
+        matrix was recomputed from scratch."""
+        links = sorted(
+            [list(l) for l in kite(standard_layout(n), size).directed_links]
+        )
+        digest = hashlib.sha256(json.dumps(links).encode()).hexdigest()
+        assert digest == KITE_GOLDEN[(n, size)]
 
 
 class TestExpertRegistry:
