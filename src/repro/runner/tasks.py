@@ -46,6 +46,7 @@ from ..sim.traffic import (
     uniform_random,
 )
 from ..topology import Layout, Topology
+from .hashing import CanonicalDoc, config_hash
 
 #: Payload format version; bump to invalidate all cached entries when the
 #: simulator's semantics change.  v2: accepted throughput counts every
@@ -228,7 +229,7 @@ class TrafficSpec:
 # Routing-table codec.
 # ---------------------------------------------------------------------------
 
-def encode_table(table) -> Dict[str, Any]:
+def encode_table(table) -> CanonicalDoc:
     """A deterministic, JSON-clean description of a routing table.
 
     Sorted entry lists make the encoding canonical, so the same routed
@@ -236,10 +237,21 @@ def encode_table(table) -> Dict[str, Any]:
     keyed tables (:class:`~repro.routing.tables.CSRRoutingTable`) encode
     as ``format: "csr"`` with flat n² arrays — O(n²) doc size where the
     dict form is O(n² · avg_hops) — and decode back to the CSR class.
+
+    The doc is a read-only :class:`~repro.runner.hashing.CanonicalDoc`,
+    memoized on the table instance: every payload built from one table
+    shares one doc, whose canonical text is computed once.  Routes and
+    links are fixed at construction, but :meth:`Runner.tables` renames
+    a decoded table's topology afterwards, so the memo is keyed by the
+    topology object and its labels.
     """
     topo = table.topology
+    labels = (topo, topo.name, topo.link_class, table.num_vcs)
+    memo = table.__dict__.get("_encoded_doc")
+    if memo is not None and memo[0] == labels:
+        return memo[1]
     doc = {
-        "layout": [topo.layout.rows, topo.layout.cols],
+        "layout": [int(topo.layout.rows), int(topo.layout.cols)],
         "links": sorted([int(i), int(j)] for i, j in topo.directed_links),
         "name": topo.name,
         "link_class": topo.link_class,
@@ -252,14 +264,16 @@ def encode_table(table) -> Dict[str, Any]:
         doc["flow_mask"] = np.asarray(
             table.flow_mask, dtype=np.int8
         ).tolist()
-        return doc
-    doc["next_hop"] = sorted(
-        [int(n), int(s), int(d), int(nh)]
-        for (n, s, d), nh in table.next_hop.items()
-    )
-    doc["flow_vc"] = sorted(
-        [int(s), int(d), int(vc)] for (s, d), vc in table.flow_vc.items()
-    )
+    else:
+        doc["next_hop"] = sorted(
+            [int(n), int(s), int(d), int(nh)]
+            for (n, s, d), nh in table.next_hop.items()
+        )
+        doc["flow_vc"] = sorted(
+            [int(s), int(d), int(vc)] for (s, d), vc in table.flow_vc.items()
+        )
+    doc = CanonicalDoc(doc)
+    table.__dict__["_encoded_doc"] = (labels, doc)
     return doc
 
 
@@ -290,18 +304,18 @@ def decode_table(doc: Dict[str, Any]):
 
 
 #: Worker-process memo of decoded tables, keyed by the table doc's
-#: content hash.  A curve job fans one routed topology out as many
-#: ``sim_point`` payloads; decoding (and hence network compilation,
-#: which :func:`repro.sim.sweep.run_point` memoizes on the table
-#: instance) happens once per worker instead of once per point.
+#: content hash (the digest a :class:`CanonicalDoc` carries through
+#: pickling, so no task re-encodes its table).  A curve job fans one
+#: routed topology out as many ``sim_point`` payloads; decoding (and
+#: hence network compilation, which :func:`repro.sim.sweep.run_point`
+#: memoizes on the table instance) happens once per worker instead of
+#: once per point.
 _TABLE_MEMO: Dict[str, RoutingTable] = {}
 _TABLE_MEMO_MAX = 8
 
 
 def cached_table(doc: Dict[str, Any]) -> RoutingTable:
     """Decode a table doc through the per-worker memo."""
-    from .hashing import config_hash
-
     key = config_hash(doc)
     table = _TABLE_MEMO.get(key)
     if table is None:
