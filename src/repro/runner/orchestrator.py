@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..routing.tables import RoutingTable
+from ..sim import batch
 from ..sim.fastnet import DEFAULT_ENGINE
 from ..sim.sweep import SweepResult, assemble_curve
 from . import tasks
@@ -44,6 +45,29 @@ from .journal import JOURNAL_NAME, RunJournal
 def task_key(task_name: str, payload: Dict[str, Any]) -> str:
     """The cache key of one task: hash of its kind plus configuration."""
     return config_hash({"task": task_name, "payload": payload})
+
+
+def _wave_rungs(
+    rates: Sequence[float],
+    cursors: Sequence[int],
+    events_per_rate: float,
+    budget: float,
+) -> int:
+    """Rates per live seed in one turbo look-ahead wave.
+
+    The largest ``k >= 1`` whose expected injected events — the sum of
+    ``rate * events_per_rate`` over each seed's next ``k`` rates from its
+    cursor, never past the ladder's end — stay within ``budget``.
+    """
+    k, events = 0, 0.0
+    while any(c + k < len(rates) for c in cursors):
+        events += events_per_rate * sum(
+            rates[c + k] for c in cursors if c + k < len(rates)
+        )
+        if k and events > budget:
+            break
+        k += 1
+    return max(k, 1)
 
 
 @dataclass
@@ -509,24 +533,44 @@ class Runner:
         stop_after_saturation: bool = True,
         sim_kw: Optional[Dict[str, Any]] = None,
     ) -> Dict[int, SweepResult]:
-        """One curve per seed, advancing all live seeds one rate per
-        batched wave.
+        """One curve per seed (duplicate seeds collapse to one),
+        advancing all live seeds together in batched waves.
 
-        The batch engine fuses the S replicas of each rate into one
-        call (:meth:`batch_points`, so lanes cache under per-point
-        keys), while the wave structure keeps the serial sweep's
-        early-stop economy: a seed retires as soon as its ordered
-        prefix saturates, exactly like :meth:`curves` does per curve.
+        The batch engine fuses each wave's lanes into few calls
+        (:meth:`batch_points`, so lanes cache under per-point keys),
+        and a seed retires as soon as its ordered prefix saturates,
+        like :meth:`curves` does per curve.
+
+        Exact mode advances one rate per wave: its lanes are independent
+        fast-engine runs, so wider waves would only simulate points past
+        saturation.  Turbo mode pays a per-cycle cost that hardly grows
+        with the number of lanes, so each wave looks ahead: every live
+        seed gets its next ``k`` rates, ``k`` the largest whose expected
+        injected events fit ``workers x TURBO_TASK_EVENTS``
+        (:data:`repro.sim.batch.TURBO_TASK_EVENTS`).  Lanes are
+        seed-major, so :meth:`batch_points`' contiguous chunks hand each
+        worker whole seeds.  Lanes past a seed's saturation are
+        computed and cached but :func:`assemble_curve` drops them, so
+        the curves do not depend on ``k``.
         """
         rates = [float(r) for r in rates]
-        seeds = [int(s) for s in seeds]
+        seeds = list(dict.fromkeys(int(s) for s in seeds))
         name = name or table.topology.name
         link_class = link_class or table.topology.link_class
         collected: Dict[int, List[Any]] = {s: [] for s in seeds}
         cursor = {s: 0 for s in seeds}
         live = list(seeds) if rates else []
+        events_per_rate = table.topology.n * (warmup + measure)
         while live:
-            wave = [(rates[cursor[s]], s) for s in live]
+            k = 1
+            if mode == "turbo":
+                k = _wave_rungs(
+                    rates, [cursor[s] for s in live], events_per_rate,
+                    self.executor.workers * batch.TURBO_TASK_EVENTS,
+                )
+            wave = [
+                (r, s) for s in live for r in rates[cursor[s]: cursor[s] + k]
+            ]
             stats = self.batch_points(
                 table, traffic, wave, warmup, measure,
                 mode=mode, sim_kw=sim_kw,

@@ -84,6 +84,13 @@ BATCH_MODES = ("exact", "turbo")
 #: cycle count, with headroom so ``_BIG + small`` cannot overflow).
 _BIG = 1 << 30
 
+#: Expected injected events one turbo task is planned around.  A lane's
+#: trace holds about ``rate * n * (warmup + measure)`` events at 16
+#: bytes each (four int32 arrays), so this bounds one task's trace near
+#: 4 MB; :meth:`repro.runner.Runner.multi_seed_curves` sizes its turbo
+#: look-ahead waves to ``workers`` times this many events.
+TURBO_TASK_EVENTS = 1 << 18
+
 #: Dense dict-table forwarding is materialized as an n^3 array; past
 #: this many routers that is no longer a reasonable trade — use a
 #: destination-keyed (CSR) table instead.
@@ -173,11 +180,17 @@ def _run_turbo(
         )
     if ev_size.size and int(ev_size.max()) >= 64:
         raise ValueError("turbo mode packs sizes in 6 bits (flits < 64)")
-    ev_vc = cn.vc_of_np[flow]
+    # Gathers from int32 copies of the (n*n,) flow tables keep every
+    # per-event array int32 (the trace's dtype) with no int64 temporary.
+    ev_vc = cn.vc_of_np.astype(np.int32)[flow]
     # Request key and size pack into one word: kv = (key + 1) << 6 | size
     # — one gather recovers both in the hot scan.
-    ev_kv = ((cn.inj_key_np[flow] + 1) << 6) | ev_size
+    ev_kv = ((cn.inj_key_np.astype(np.int32)[flow] + 1) << 6) | ev_size
+    del flow
     n_events = ev_cycle.size
+    # Counted before the SoA state exists, so the count's per-event
+    # temporaries never add to the loop's peak memory.
+    offered = trace.offered_in(warmup, total)
 
     # -- SoA state, leading lane axis -----------------------------------------
     # Everything dense is int32: the loop is memory-bound on (B, ns)
@@ -378,7 +391,6 @@ def _run_turbo(
                 h_nextf[nfi] = ready2[was_empty]
                 h_kvf[nfi] = nkv[was_empty]
 
-    offered = trace.offered_in(warmup, warmup + measure)
     return [
         SimStats(
             cycles=measure,

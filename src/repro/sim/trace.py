@@ -429,21 +429,23 @@ class BatchTrace:
     n_lanes: int
     n_nodes: int
     cycles: int
-    ev_cycle: np.ndarray  # (E,) int64 — generation cycle of each event
-    ev_src: np.ndarray  # (E,) int64
-    ev_dst: np.ndarray  # (E,) int64
-    ev_size: np.ndarray  # (E,) int64 flits
+    ev_cycle: np.ndarray  # (E,) int32 — generation cycle of each event
+    ev_src: np.ndarray  # (E,) int32
+    ev_dst: np.ndarray  # (E,) int32
+    ev_size: np.ndarray  # (E,) int32 flits
     seg_start: np.ndarray  # (B, n) int64 indices into the flat arrays
     seg_end: np.ndarray  # (B, n) int64
     lane_bounds: np.ndarray  # (B + 1,) int64
 
     def offered_in(self, lo: int, hi: int) -> np.ndarray:
         """Per-lane event count with generation cycle in ``[lo, hi)``."""
-        out = np.zeros(self.n_lanes, dtype=np.int64)
-        for b in range(self.n_lanes):
-            seg = self.ev_cycle[self.lane_bounds[b] : self.lane_bounds[b + 1]]
-            out[b] = int(((seg >= lo) & (seg < hi)).sum())
-        return out
+        inside = (self.ev_cycle >= lo) & (self.ev_cycle < hi)
+        # before[i]: in-window events among the first i (int32 like the
+        # events, so the prefix sum costs 4 bytes per event).
+        before = np.zeros(inside.size + 1, dtype=np.int32)
+        np.cumsum(inside, dtype=np.int32, out=before[1:])
+        bounds = self.lane_bounds
+        return (before[bounds[1:]] - before[bounds[:-1]]).astype(np.int64)
 
 
 def _batch_dests(
@@ -497,8 +499,8 @@ def pregenerate_batch(
     gates = (
         traffic.burst.state(n).rows(0, C) if traffic.burst is not None else None
     )
-    node_ids = np.arange(n, dtype=np.int64)
-    cyc_tile = np.tile(np.arange(C, dtype=np.int64), n)
+    node_ids = np.arange(n, dtype=np.int32)
+    cyc_tile = np.tile(np.arange(C, dtype=np.int32), n)
 
     chunks_cycle: List[np.ndarray] = []
     chunks_src: List[np.ndarray] = []
@@ -538,17 +540,19 @@ def pregenerate_batch(
             continue
         srcs = np.repeat(node_ids, node_tot)
         cycs = np.repeat(cyc_tile, cnt_t.ravel())
-        dsts = _batch_dests(spec, srcs, rng, n).astype(np.int64)
+        # Events are stored int32 (half the trace memory of the int64
+        # draws); each lane is cast before the concatenation.
+        dsts = _batch_dests(spec, srcs, rng, n).astype(np.int32)
         sizes = np.where(
             rng.random(k) < traffic.data_fraction, DATA_FLITS, CONTROL_FLITS
-        ).astype(np.int64)
+        ).astype(np.int32)
         chunks_cycle.append(cycs)
         chunks_src.append(srcs)
         chunks_dst.append(dsts)
         chunks_size.append(sizes)
 
     cat = lambda xs: (
-        np.concatenate(xs) if xs else np.empty(0, dtype=np.int64)
+        np.concatenate(xs) if xs else np.empty(0, dtype=np.int32)
     )
     return BatchTrace(
         n_lanes=B,
